@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"math/bits"
 
 	"nocdeploy/internal/numeric"
 )
@@ -56,6 +57,24 @@ type basisFactor struct {
 	etaR     []int32
 	etaPiv   []float64
 
+	// Transposed factor adjacency for the unit BTRAN, rebuilt lazily after
+	// each factorization (tValid): uTStart/uTCol list, per factor column
+	// p, the later columns t whose U column has an entry at p; lTStart/
+	// lTCol list, per pivot p', the earlier pivots p whose L column has an
+	// entry on row pivRow[p']. They are the edges a nonzero travels along
+	// in the Uᵀ and Lᵀ solves.
+	tValid  bool
+	uTStart []int32
+	uTCol   []int32
+	lTStart []int32
+	lTCol   []int32
+
+	// Unit BTRAN scratch: cPos (basis-position space) and cFac (factor
+	// space) are zero between calls; reach marks factor columns.
+	cPos  []float64
+	cFac  []float64
+	reach []uint64
+
 	// Factorization scratch, kept with the factor so refactorization
 	// allocates nothing once grown.
 	x       []float64 // dense accumulator, row space
@@ -89,6 +108,7 @@ func (f *basisFactor) reset(m int) {
 	f.colPos = growI32(f.colPos, m)[:0]
 	f.posCol = growI32(f.posCol, m)[:m]
 	f.clearEtas()
+	f.tValid = false
 	f.x = growF64(f.x, m)[:m]
 	f.order = growI32(f.order, m)[:m]
 	f.stackR = growI32(f.stackR, m)[:m]
@@ -409,6 +429,165 @@ func (f *basisFactor) btran(c, y []float64) {
 	for p := 0; p < m; p++ {
 		y[f.pivRow[p]] = c[p]
 	}
+}
+
+// btranUnit solves Bᵀ·ρ = e_r — the dual simplex pivot row for basis
+// position r — in time proportional to what the sparsity of e_r reaches
+// rather than to m plus the whole factor. The eta transposes and the Uᵀ/Lᵀ
+// dot products are exactly btran's, evaluated in btran's order; they are
+// only skipped for factor columns no nonzero can reach, whose btran value
+// is a (signed) zero. The result therefore matches btran(e_r) bit for bit
+// up to the sign of zero entries.
+//
+// rho (row space, length m) receives ρ; rows (one bit per row) receives
+// the rows where ρ is nonzero. Both are overwritten.
+func (f *basisFactor) btranUnit(r int, rho []float64, rows []uint64) {
+	m := f.m
+	if !f.tValid {
+		f.transpose()
+	}
+	clear(rho[:m])
+	clear(rows)
+
+	// Eta transposes, newest first. Only r and the eta pivot positions can
+	// hold a nonzero afterwards.
+	c := f.cPos
+	c[r] = 1
+	for e := len(f.etaR) - 1; e >= 0; e-- {
+		re := f.etaR[e]
+		s := c[re]
+		for q := f.etaStart[e]; q < f.etaStart[e+1]; q++ {
+			s -= f.etaVal[q] * c[f.etaIdx[q]]
+		}
+		c[re] = s / f.etaPiv[e]
+	}
+
+	// Move those candidates to factor-column space and seed the reach.
+	cf, reach := f.cFac, f.reach
+	f.seedReach(int32(r))
+	for _, i := range f.etaR {
+		f.seedReach(i)
+	}
+
+	// Uᵀ forward solve over the reach, ascending: a nonzero at t reaches
+	// every later column whose U has an entry at t.
+	for wi := range reach {
+		for word := reach[wi]; word != 0; {
+			b := bits.TrailingZeros64(word)
+			t := wi<<6 | b
+			s := cf[t]
+			for q := f.uStart[t]; q < f.uStart[t+1]; q++ {
+				s -= f.uVal[q] * cf[f.uPos[q]]
+			}
+			s /= f.uDiag[t]
+			cf[t] = s
+			if s != 0 { //lint:allow floateq — exact sparsity test: only a true zero stops the reach
+				for q := f.uTStart[t]; q < f.uTStart[t+1]; q++ {
+					u := f.uTCol[q]
+					reach[u>>6] |= 1 << (u & 63)
+				}
+			}
+			word = reach[wi] &^ (uint64(1)<<(b+1) - 1)
+		}
+	}
+
+	// Lᵀ backward solve over the reach, descending: a nonzero at p reaches
+	// every earlier pivot whose L column has an entry on p's row.
+	for wi := len(reach) - 1; wi >= 0; wi-- {
+		for word := reach[wi]; word != 0; {
+			b := 63 - bits.LeadingZeros64(word)
+			p := wi<<6 | b
+			s := cf[p]
+			for q := f.lStart[p]; q < f.lStart[p+1]; q++ {
+				s -= f.lVal[q] * cf[f.rowPos[f.lRow[q]]]
+			}
+			cf[p] = s
+			if s != 0 { //lint:allow floateq — exact sparsity test: only a true zero stops the reach
+				for q := f.lTStart[p]; q < f.lTStart[p+1]; q++ {
+					l := f.lTCol[q]
+					reach[l>>6] |= 1 << (l & 63)
+				}
+			}
+			word = reach[wi] & (uint64(1)<<b - 1)
+		}
+	}
+
+	// Scatter the nonzeros to row space, restoring the zeroed scratch.
+	for wi, word := range reach {
+		for ; word != 0; word &= word - 1 {
+			p := wi<<6 | bits.TrailingZeros64(word)
+			if v := cf[p]; v != 0 { //lint:allow floateq — exact sparsity test: ρ's pattern is its true nonzeros
+				row := f.pivRow[p]
+				rho[row] = v
+				rows[row>>6] |= 1 << (row & 63)
+			}
+			cf[p] = 0
+		}
+		reach[wi] = 0
+	}
+}
+
+// seedReach moves the unit BTRAN's post-eta value at basis position i to
+// factor-column space, marking it reached when nonzero, and zeroes it.
+func (f *basisFactor) seedReach(i int32) {
+	if v := f.cPos[i]; v != 0 { //lint:allow floateq — exact sparsity test: only a true zero stays unreached
+		t := f.posCol[i]
+		f.cFac[t] = v
+		f.reach[t>>6] |= 1 << (t & 63)
+	}
+	f.cPos[i] = 0
+}
+
+// transpose builds the transposed U and L adjacency and sizes the scratch
+// the unit BTRAN walks; it runs at most once per factorization.
+func (f *basisFactor) transpose() {
+	m := f.m
+	f.uTStart = growI32(f.uTStart, m+1)
+	f.lTStart = growI32(f.lTStart, m+1)
+	clear(f.uTStart)
+	clear(f.lTStart)
+	for _, p := range f.uPos {
+		f.uTStart[p+1]++
+	}
+	for _, r := range f.lRow {
+		f.lTStart[f.rowPos[r]+1]++
+	}
+	for i := 0; i < m; i++ {
+		f.uTStart[i+1] += f.uTStart[i]
+		f.lTStart[i+1] += f.lTStart[i]
+	}
+	f.uTCol = growI32(f.uTCol, len(f.uPos))
+	f.lTCol = growI32(f.lTCol, len(f.lRow))
+	// The DFS stacks are idle outside factorize: borrow them as cursors.
+	cu, cl := f.stackR, f.stackC
+	copy(cu, f.uTStart[:m])
+	copy(cl, f.lTStart[:m])
+	for t := 0; t < m; t++ {
+		for q := f.uStart[t]; q < f.uStart[t+1]; q++ {
+			p := f.uPos[q]
+			f.uTCol[cu[p]] = int32(t)
+			cu[p]++
+		}
+		for q := f.lStart[t]; q < f.lStart[t+1]; q++ {
+			p := f.rowPos[f.lRow[q]]
+			f.lTCol[cl[p]] = int32(t)
+			cl[p]++
+		}
+	}
+	f.cPos = growF64(f.cPos, m)
+	f.cFac = growF64(f.cFac, m)
+	f.reach = growU64(f.reach, bitWords(m))
+	f.tValid = true
+}
+
+// bitWords is the number of 64-bit words in a bitmap over n indices.
+func bitWords(n int) int { return (n + 63) >> 6 }
+
+func growU64(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	return s[:n]
 }
 
 // update appends one PFI eta for a pivot at basis position r with FTRAN

@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"nocdeploy/internal/numeric"
@@ -38,6 +39,13 @@ type simplex struct {
 	colRow   []int32
 	colA     []float64
 
+	// Row-major (CSR) copy of the structural and slack columns, for the
+	// dual pivot row α = ρᵀA. Artificials are left out: every warm solve
+	// fixes them at zero, so the dual ratio test never prices them.
+	rowStart []int32
+	rowCol   []int32
+	rowA     []float64
+
 	lo, hi []float64 // working bounds for all columns
 	cost   []float64 // phase-dependent cost for all columns
 	rhs    []float64 // row right-hand sides (rows as equalities)
@@ -51,12 +59,14 @@ type simplex struct {
 	// Per-iteration work vectors (pooled with the struct).
 	y       []float64 // simplex multipliers, row space
 	rho     []float64 // dual pivot row BTRAN result, row space
+	rhoNZ   []uint64  // bitmap of the rows where rho is nonzero
 	w       []float64 // FTRAN direction, basis-position space
 	cB      []float64 // BTRAN input scratch, basis-position space
 	scratch []float64 // zeroed row-space FTRAN scratch
 	cnt     []int32   // CSC build cursors
 	dualD   []float64 // reduced costs maintained across dual pivots, column space
 	dualA   []float64 // pivot-row coefficients α_j = ρ·a_j per dual scan, column space
+	touched []uint64  // bitmap of the columns dualA holds this scan
 
 	iters       int
 	dualIters   int
@@ -301,6 +311,25 @@ func (s *simplex) init(p *Problem, opt Options) {
 		}
 	}
 
+	// CSR over structural + slack columns, straight from the rows: each
+	// row holds a column at most once, so a column's α terms accumulate in
+	// ascending row order exactly as its CSC dot product does.
+	s.rowStart = growI32(s.rowStart, m+1)
+	s.rowCol = growI32(s.rowCol, nnz-m)
+	s.rowA = growF64(s.rowA, nnz-m)
+	s.rowStart[0] = 0
+	for r, c := range p.Cons {
+		q := s.rowStart[r]
+		for k, j := range c.Idx {
+			s.rowCol[q] = int32(j)
+			s.rowA[q] = c.Val[k]
+			q++
+		}
+		s.rowCol[q] = int32(n + r)
+		s.rowA[q] = 1
+		s.rowStart[r+1] = q + 1
+	}
+
 	s.lo = growF64(s.lo, total)
 	s.hi = growF64(s.hi, total)
 	s.cost = growF64(s.cost, total)
@@ -310,11 +339,13 @@ func (s *simplex) init(p *Problem, opt Options) {
 	s.xB = growF64(s.xB, m)
 	s.y = growF64(s.y, m)
 	s.rho = growF64(s.rho, m)
+	s.rhoNZ = growU64(s.rhoNZ, bitWords(m))
 	s.w = growF64(s.w, m)
 	s.cB = growF64(s.cB, m)
 	s.scratch = growF64(s.scratch, m)
 	s.dualD = growF64(s.dualD, total)
 	s.dualA = growF64(s.dualA, total)
+	s.touched = growU64(s.touched, bitWords(n+m))
 	for i := 0; i < m; i++ {
 		s.scratch[i] = 0
 	}
@@ -799,52 +830,50 @@ func (s *simplex) dualIterate() (Status, error) {
 		s.iters++
 		s.dualIters++
 
-		// Pivot row ρ = e_leaveᵀ·B⁻¹.
-		for i := 0; i < m; i++ {
-			s.cB[i] = 0
-		}
-		s.cB[leave] = 1
-		s.f.btran(s.cB, s.rho)
+		// Pivot row ρ = e_leaveᵀ·B⁻¹ and α = ρᵀA.
+		s.f.btranUnit(leave, s.rho, s.rhoNZ)
+		s.pivotRow()
+		touched := s.touched
 
 		// Entering choice: among columns that can push the violated basic
 		// variable back toward its bound, take the smallest dual ratio
 		// |d_j|/|α_j| (ties to the larger pivot) so reduced-cost signs are
-		// preserved when the basis is dual feasible.
+		// preserved when the basis is dual feasible. Columns α misses have
+		// α_j = 0 and are never eligible; the bitmap walk visits the rest
+		// in ascending index order, which the tie-breaks rely on.
 		enter := -1
 		bestRatio, bestAbs := math.Inf(1), 0.0
-		for j := 0; j < total; j++ {
-			st := s.state[j]
-			if st == inBasis || s.lo[j] == s.hi[j] { //lint:allow floateq — exact fixed-column check over assigned bounds
-				alpha[j] = 0
-				continue
-			}
-			var a float64
-			for q := s.colStart[j]; q < s.colStart[j+1]; q++ {
-				a += s.rho[s.colRow[q]] * s.colA[q]
-			}
-			alpha[j] = a
-			if math.Abs(a) <= 1e-9 {
-				continue
-			}
-			// xB[leave] changes by −α_j·δ_j. Raising it (needUp) takes
-			// α < 0 for a column moving up off its lower bound, α > 0 for
-			// one moving down off its upper bound; lowering it is the
-			// mirror image. Free columns can move either way.
-			eligible := false
-			switch st {
-			case atLower:
-				eligible = (needUp && a < 0) || (!needUp && a > 0)
-			case atUpper:
-				eligible = (needUp && a > 0) || (!needUp && a < 0)
-			case isFree:
-				eligible = true
-			}
-			if !eligible {
-				continue
-			}
-			ratio := math.Abs(d[j]) / math.Abs(a)
-			if ratio < bestRatio-1e-12 || (ratio < bestRatio+1e-12 && math.Abs(a) > bestAbs) {
-				bestRatio, bestAbs, enter = ratio, math.Abs(a), j
+		for wi, word := range touched {
+			for ; word != 0; word &= word - 1 {
+				j := wi<<6 | bits.TrailingZeros64(word)
+				st := s.state[j]
+				if st == inBasis || s.lo[j] == s.hi[j] { //lint:allow floateq — exact fixed-column check over assigned bounds
+					continue
+				}
+				a := alpha[j]
+				if math.Abs(a) <= 1e-9 {
+					continue
+				}
+				// xB[leave] changes by −α_j·δ_j. Raising it (needUp) takes
+				// α < 0 for a column moving up off its lower bound, α > 0
+				// for one moving down off its upper bound; lowering it is
+				// the mirror image. Free columns can move either way.
+				eligible := false
+				switch st {
+				case atLower:
+					eligible = (needUp && a < 0) || (!needUp && a > 0)
+				case atUpper:
+					eligible = (needUp && a > 0) || (!needUp && a < 0)
+				case isFree:
+					eligible = true
+				}
+				if !eligible {
+					continue
+				}
+				ratio := math.Abs(d[j]) / math.Abs(a)
+				if ratio < bestRatio-1e-12 || (ratio < bestRatio+1e-12 && math.Abs(a) > bestAbs) {
+					bestRatio, bestAbs, enter = ratio, math.Abs(a), j
+				}
 			}
 		}
 		if enter < 0 {
@@ -897,11 +926,14 @@ func (s *simplex) dualIterate() (Status, error) {
 		// pivot-row coefficient is exactly 1) and the entering one zeroes.
 		thetaD := d[enter] / alpha[enter]
 		if thetaD != 0 { //lint:allow floateq — exact guard: a zero dual step leaves every reduced cost untouched
-			for j := 0; j < total; j++ {
-				if s.state[j] == inBasis || alpha[j] == 0 { //lint:allow floateq — exact guard: α was assigned 0 for skipped columns
-					continue
+			for wi, word := range touched {
+				for ; word != 0; word &= word - 1 {
+					j := wi<<6 | bits.TrailingZeros64(word)
+					if s.state[j] == inBasis || s.lo[j] == s.hi[j] || alpha[j] == 0 { //lint:allow floateq — exact guards: fixed bounds are assigned, and α = 0 leaves d_j untouched
+						continue
+					}
+					d[j] -= thetaD * alpha[j]
 				}
-				d[j] -= thetaD * alpha[j]
 			}
 		}
 		if needUp {
@@ -929,6 +961,31 @@ func (s *simplex) dualIterate() (Status, error) {
 				return Optimal, err
 			}
 			dFresh = false
+		}
+	}
+}
+
+// pivotRow computes the dual pivot row α_j = ρᵀa_j from s.rho and its
+// nonzero-row bitmap s.rhoNZ into s.dualA, marking the columns it writes
+// in s.touched; every other structural or slack column has α_j = 0. Only
+// the rows where ρ is nonzero are scattered, in ascending order, so each
+// α_j sums the same terms in the same order as the column dot product
+// ρ·a_j does, and matches it bit for bit.
+func (s *simplex) pivotRow() {
+	alpha, touched := s.dualA, s.touched
+	clear(touched)
+	for wi, word := range s.rhoNZ {
+		for ; word != 0; word &= word - 1 {
+			r := wi<<6 | bits.TrailingZeros64(word)
+			rv := s.rho[r]
+			for q := s.rowStart[r]; q < s.rowStart[r+1]; q++ {
+				j := s.rowCol[q]
+				if bit := uint64(1) << (j & 63); touched[j>>6]&bit == 0 {
+					touched[j>>6] |= bit
+					alpha[j] = 0
+				}
+				alpha[j] += rv * s.rowA[q]
+			}
 		}
 	}
 }
