@@ -194,6 +194,13 @@ type Basis struct {
 	// NonBasic records where each nonbasic column sits (internal varState
 	// values); entries for basic columns are ignored by the consumer.
 	NonBasic []uint8
+	// ColdIters is the pivot count of the cold solve this snapshot
+	// descends from: a snapshot of a cold solve records its own pivots,
+	// one of a warm solve inherits its seed's count. A warm start from
+	// the snapshot spends at most ColdIters+8 dual pivots (and never more
+	// than rows+100) before it falls back to a cold start, so it never
+	// costs much more than the cold solve it replaces.
+	ColdIters int
 }
 
 // Options tunes the solver.

@@ -72,6 +72,7 @@ type simplex struct {
 	dualIters   int
 	refactors   int  // mid-solve refactorizations (periodic + stability)
 	warm        bool // the current solve runs from Options.WarmBasis
+	coldIters   int  // Basis.ColdIters of the warm seed
 	sincePivot  int  // pivots since last refactorization
 	degenStreak int  // consecutive (near-)degenerate pivots, drives Bland switch
 }
@@ -182,7 +183,9 @@ func solveOnce(p *Problem, opt Options, s *simplex) (*Solution, error) {
 			return &Solution{Status: IterLimit, Iters: s.iters,
 				Warm: true, DualIters: s.dualIters, Refactors: s.refactors}, nil
 		case st == dualStalled:
-			s.warm = false // fall back to a cold start below
+			// Fall back to a cold start below, from the post-dual point.
+			s.releaseBasic()
+			s.warm = false
 		}
 	}
 
@@ -203,14 +206,15 @@ func solveOnce(p *Problem, opt Options, s *simplex) (*Solution, error) {
 			return nil, err
 		}
 		if st == IterLimit {
-			return &Solution{Status: IterLimit, Iters: s.iters, ItersP1: s.iters, Refactors: s.refactors}, nil
+			return &Solution{Status: IterLimit, Iters: s.iters, ItersP1: s.iters, DualIters: s.dualIters, Refactors: s.refactors}, nil
 		}
 		p1Iters = s.iters
 		if infeas := s.phaseObj(); infeas > 1e-6 {
 			// Obj carries the residual infeasibility (sum of artificial
 			// values) to help callers distinguish numerical noise from real
 			// constraint conflicts.
-			return &Solution{Status: Infeasible, Iters: s.iters, ItersP1: p1Iters, Obj: infeas, Refactors: s.refactors}, nil
+			return &Solution{Status: Infeasible, Iters: s.iters, ItersP1: p1Iters, Obj: infeas,
+				DualIters: s.dualIters, Refactors: s.refactors}, nil
 		}
 		// Phase 2: fix artificials at zero and optimize the real cost.
 		for j := s.n + s.m; j < len(s.cost); j++ {
@@ -274,7 +278,7 @@ func (s *simplex) init(p *Problem, opt Options) {
 	s.n, s.m = n, m
 	s.iters, s.dualIters, s.refactors = 0, 0, 0
 	s.sincePivot, s.degenStreak = 0, 0
-	s.warm = false
+	s.warm, s.coldIters = false, 0
 
 	total := n + 2*m
 	nnz := 2 * m
@@ -496,17 +500,42 @@ func (s *simplex) installWarm(b *Basis) bool {
 		return false
 	}
 	s.warm = true
+	s.coldIters = b.ColdIters
 	return true
+}
+
+// releaseBasic moves every basic column to the finite bound nearest its
+// current value (0 when free), so the cold-start crash can rebuild the
+// basis from the current point. The crash only reassigns slacks and
+// artificials: a structural column left marked basic would sit outside
+// the new basis, pinned at zero and never priced.
+func (s *simplex) releaseBasic() {
+	for i, j := range s.basis {
+		lo, hi, v := s.lo[j], s.hi[j], s.xB[i]
+		switch {
+		case math.IsInf(lo, -1) && math.IsInf(hi, 1):
+			s.state[j] = isFree
+		case math.IsInf(hi, 1) || (!math.IsInf(lo, -1) && v-lo <= hi-v):
+			s.state[j] = atLower
+		default:
+			s.state[j] = atUpper
+		}
+	}
 }
 
 // snapshotBasis captures the current basis for reuse by a related solve.
 // Basic artificials (degenerate at zero) are swapped for their row's slack
 // column — same sparsity pattern up to sign, so nonsingularity is
 // preserved; if the slack is itself basic elsewhere the snapshot is
-// unusable and nil is returned.
+// unusable and nil is returned. ColdIters is this solve's own pivot count
+// when it ran cold (dual pivots of an abandoned warm start excluded) and
+// the seed's when it ran warm.
 func (s *simplex) snapshotBasis() *Basis {
 	n, m := s.n, s.m
-	b := &Basis{Basic: make([]int32, m), NonBasic: make([]uint8, n+m)}
+	b := &Basis{Basic: make([]int32, m), NonBasic: make([]uint8, n+m), ColdIters: s.coldIters}
+	if !s.warm {
+		b.ColdIters = s.iters - s.dualIters
+	}
 	for j := 0; j < n+m; j++ {
 		b.NonBasic[j] = uint8(s.state[j])
 	}
@@ -770,15 +799,16 @@ func (s *simplex) iterate() (Status, error) {
 // returns Optimal once primal feasible (the caller then runs the primal
 // phase to optimality), Infeasible when a violated row admits no entering
 // column — a sound infeasibility certificate regardless of dual
-// feasibility — and dualStalled when it stops making progress, in which
-// case the caller falls back to a cold start.
+// feasibility — and dualStalled when it stops making progress or spends
+// its pivot budget (Basis.ColdIters+8), in which case the caller falls
+// back to a cold start.
 func (s *simplex) dualIterate() (Status, error) {
 	m := s.m
 	total := s.n + 2*m
-	budget := m + 100
-	if budget > s.opt.MaxIters {
-		budget = s.opt.MaxIters
-	}
+	// The budget is the cold solve's measured cost: a warm start that
+	// needs more dual pivots than the cold solve it replaces took is
+	// better abandoned for that cold solve.
+	budget := min(m+100, s.coldIters+8, s.opt.MaxIters)
 	// Reduced costs are maintained across dual pivots (d_j ← d_j − θ_d·α_j
 	// after each basis change) instead of being recomputed from a BTRAN of
 	// the basic costs every iteration; they are refreshed from scratch
