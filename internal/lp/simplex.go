@@ -172,7 +172,9 @@ func solveOnce(p *Problem, opt Options, s *simplex) (*Solution, error) {
 	// primal phase below prove optimality (usually zero extra pivots).
 	if wb := opt.WarmBasis; wb != nil && s.installWarm(wb) {
 		s.setCost(p.Cost)
+		s.perturbCost()
 		st, err := s.dualIterate()
+		s.setCost(p.Cost)
 		switch {
 		case err != nil:
 			return nil, err
@@ -793,6 +795,50 @@ func (s *simplex) iterate() (Status, error) {
 	}
 }
 
+const (
+	// dualPerturb scales the dual phase's cost perturbation, relative to
+	// the largest structural cost.
+	dualPerturb = 1e-7
+	// dualPivotRel is the dual ratio test's pivot floor relative to the
+	// largest nonbasic |α_j| of the pivot row.
+	dualPivotRel = 1e-7
+)
+
+// perturbCost shifts the cost of every nonbasic, non-fixed column by a
+// small deterministic amount (dualPerturb times the cost scale, spread
+// over [1, 2) per column) in the direction its bound keeps dual feasible.
+// Branch & bound relaxations here minimize one energy variable, so nearly
+// every reduced cost is zero: unperturbed, the dual ratio test ties at a
+// zero step on almost every pivot and warm starts crawl through dual
+// degenerate bases until the budget sends them to a cold start. The
+// caller restores the real cost after the dual phase, and the primal
+// phase repairs the small dual infeasibilities that leaves.
+func (s *simplex) perturbCost() {
+	scale := 0.0
+	for _, c := range s.cost[:s.n] {
+		scale = max(scale, math.Abs(c))
+	}
+	if numeric.IsZero(scale) {
+		scale = 1
+	}
+	for j := 0; j < s.n+s.m; j++ {
+		if s.lo[j] == s.hi[j] { //lint:allow floateq — exact fixed-column check over assigned bounds
+			continue
+		}
+		// A fixed multiplicative hash of the index: no two columns tie,
+		// and every solve of the same node perturbs the same way.
+		h := uint64(j+1) * 0x9E3779B97F4A7C15
+		h ^= h >> 31
+		del := dualPerturb * (scale + math.Abs(s.cost[j])) * (1 + float64(h>>11)/(1<<53))
+		switch s.state[j] {
+		case atLower:
+			s.cost[j] += del
+		case atUpper:
+			s.cost[j] -= del
+		}
+	}
+}
+
 // dualIterate restores primal feasibility of a warm-started basis with
 // dual simplex pivots: repeatedly expel the most bound-violating basic
 // variable, choosing the entering column by the dual ratio test. It
@@ -865,6 +911,20 @@ func (s *simplex) dualIterate() (Status, error) {
 		s.pivotRow()
 		touched := s.touched
 
+		// Pivot floor: besides the absolute 1e-9, a candidate's |α_j| must
+		// reach dualPivotRel of the largest nonbasic |α_j| in the row.
+		// Entering on a relatively tiny α leaves a nearly singular basis,
+		// which the next refactorization rejects.
+		pivFloor := 1e-9
+		for wi, word := range touched {
+			for ; word != 0; word &= word - 1 {
+				j := wi<<6 | bits.TrailingZeros64(word)
+				if s.state[j] != inBasis && s.lo[j] != s.hi[j] { //lint:allow floateq — exact fixed-column check over assigned bounds
+					pivFloor = max(pivFloor, dualPivotRel*math.Abs(alpha[j]))
+				}
+			}
+		}
+
 		// Entering choice: among columns that can push the violated basic
 		// variable back toward its bound, take the smallest dual ratio
 		// |d_j|/|α_j| (ties to the larger pivot) so reduced-cost signs are
@@ -881,7 +941,7 @@ func (s *simplex) dualIterate() (Status, error) {
 					continue
 				}
 				a := alpha[j]
-				if math.Abs(a) <= 1e-9 {
+				if math.Abs(a) <= 1e-9 || math.Abs(a) < pivFloor {
 					continue
 				}
 				// xB[leave] changes by −α_j·δ_j. Raising it (needUp) takes
