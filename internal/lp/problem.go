@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"nocdeploy/internal/numeric"
 	"nocdeploy/internal/obs"
@@ -109,19 +110,25 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("lp: column %d has NaN data", j)
 		}
 	}
+	// seen[j] holds 1 + the last row that referenced column j, so one
+	// pooled buffer detects repeats in every row without clearing.
+	seenBuf := seenPool.Get().(*[]int32)
+	defer seenPool.Put(seenBuf)
+	seen := growI32(*seenBuf, p.NumCols)
+	*seenBuf = seen
+	clear(seen)
 	for r, c := range p.Cons {
 		if len(c.Idx) != len(c.Val) {
 			return fmt.Errorf("lp: row %d has %d indices but %d values", r, len(c.Idx), len(c.Val))
 		}
-		seen := map[int]bool{}
 		for k, j := range c.Idx {
 			if j < 0 || j >= p.NumCols {
 				return fmt.Errorf("lp: row %d references column %d (have %d)", r, j, p.NumCols)
 			}
-			if seen[j] {
+			if seen[j] == int32(r+1) {
 				return fmt.Errorf("lp: row %d references column %d twice", r, j)
 			}
-			seen[j] = true
+			seen[j] = int32(r + 1)
 			if math.IsNaN(c.Val[k]) || math.IsInf(c.Val[k], 0) {
 				return fmt.Errorf("lp: row %d has non-finite coefficient for column %d", r, j)
 			}
@@ -132,6 +139,10 @@ func (p *Problem) Validate() error {
 	}
 	return nil
 }
+
+// seenPool holds Validate's per-column scratch, so validating a node LP
+// in branch & bound allocates nothing once warm.
+var seenPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // Status is the outcome of a solve.
 type Status int
