@@ -54,14 +54,20 @@ func benchFigSuite(b *testing.B, parallel int, tr *obs.Trace) {
 	b.Helper()
 	cfg := exp.Config{Seed: 1, Quick: true, TimeLimit: time.Minute, MaxNodes: 50, Parallel: parallel, Trace: tr}
 	for i := 0; i < b.N; i++ {
-		for _, r := range exp.Runners() {
-			tbl, err := r.Run(cfg)
-			if err != nil {
-				b.Fatalf("figure %s: %v", r.Name, err)
-			}
-			if len(tbl.Rows) == 0 {
-				b.Fatalf("figure %s: empty table", r.Name)
-			}
+		figSuiteOnce(b, cfg)
+	}
+}
+
+// figSuiteOnce regenerates every figure's table once under cfg.
+func figSuiteOnce(b *testing.B, cfg exp.Config) {
+	b.Helper()
+	for _, r := range exp.Runners() {
+		tbl, err := r.Run(cfg)
+		if err != nil {
+			b.Fatalf("figure %s: %v", r.Name, err)
+		}
+		if len(tbl.Rows) == 0 {
+			b.Fatalf("figure %s: empty table", r.Name)
 		}
 	}
 }
@@ -70,8 +76,25 @@ func benchFigSuite(b *testing.B, parallel int, tr *obs.Trace) {
 // record; compare against BenchmarkFigSuiteParallel. It is also the
 // nil-tracer baseline for BenchmarkFigSuiteSerialTraced: the delta
 // between the two is the full cost of observability, and must stay
-// within noise when tracing is off.
-func BenchmarkFigSuiteSerial(b *testing.B) { benchFigSuite(b, 1, nil) }
+// within noise when tracing is off. After the timed loop it runs one more,
+// untimed suite under a metrics trace and reports the suite's
+// deterministic work — LP pivots, dual pivots of warm starts and branch &
+// bound nodes — per op, so a wall-clock change can be told apart from a
+// change in the work done.
+func BenchmarkFigSuiteSerial(b *testing.B) {
+	benchFigSuite(b, 1, nil)
+	b.StopTimer()
+	m := obs.NewMetrics()
+	tr := obs.New(obs.NewMetricsSink(m))
+	figSuiteOnce(b, exp.Config{Seed: 1, Quick: true, TimeLimit: time.Minute, MaxNodes: 50, Parallel: 1, Trace: tr})
+	if err := tr.Close(); err != nil {
+		b.Fatal(err)
+	}
+	c := m.Snapshot().Counters
+	b.ReportMetric(float64(c["lp.iters"]), "lp_pivots/op")
+	b.ReportMetric(float64(c["lp.warmstart_dual_iters"]), "lp_dual_pivots/op")
+	b.ReportMetric(float64(c["bb.nodes"]), "bb_nodes/op")
+}
 
 // BenchmarkFigSuiteParallel fans instances out over all cores
 // (Parallel=0); its tables are byte-identical to the serial run's.

@@ -26,13 +26,15 @@ import (
 	"strings"
 )
 
-// benchLine matches one result line, e.g.
+// benchLine matches the head of one result line, e.g.
 //
-//	BenchmarkFig2a-8   3   123456789 ns/op   4567 B/op   89 allocs/op
+//	BenchmarkFig2a-8   3   123456789 ns/op   95150 lp_pivots/op   4567 B/op   89 allocs/op
 //
-// The -8 GOMAXPROCS suffix is stripped from the recorded name. B/op and
-// allocs/op are optional (-benchmem).
-var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// capturing the name, the iteration count and the rest of the line, which
+// is a sequence of "value unit" pairs: ns/op first, then any metrics the
+// benchmark reports with b.ReportMetric, then B/op and allocs/op under
+// -benchmem. The -8 GOMAXPROCS suffix is stripped from the recorded name.
+var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
 // Entry is the aggregated result of one benchmark.
 type Entry struct {
@@ -41,6 +43,10 @@ type Entry struct {
 	NsPerOp     float64 `json:"ns_per_op"`     // mean
 	BytesPerOp  float64 `json:"b_per_op"`      // mean; -1 without -benchmem
 	AllocsPerOp float64 `json:"allocs_per_op"` // mean; -1 without -benchmem
+	// Metrics holds the means of the other reported units (b.ReportMetric
+	// pairs such as lp_pivots/op), keyed by unit, over the samples that
+	// reported them.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Report is the document benchjson emits.
@@ -60,6 +66,8 @@ func Parse(r io.Reader) (*Report, error) {
 		iters           int64
 		ns, bytes, alls float64
 		hasMem          bool
+		metrics         map[string]float64
+		metricRuns      map[string]int
 	}
 	accs := map[string]*acc{}
 	sc := bufio.NewScanner(r)
@@ -80,35 +88,38 @@ func Parse(r io.Reader) (*Report, error) {
 		if mm == nil {
 			continue
 		}
+		vals, ok, err := parsePairs(mm[3])
+		if err != nil {
+			return nil, fmt.Errorf("benchjson: %v in %q", err, line)
+		}
+		if !ok {
+			continue // not a result line: no ns/op pair leads it
+		}
 		name := mm[1]
 		iters, err := strconv.ParseInt(mm[2], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("benchjson: bad iteration count in %q: %v", line, err)
 		}
-		ns, err := strconv.ParseFloat(mm[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("benchjson: bad ns/op in %q: %v", line, err)
-		}
 		a := accs[name]
 		if a == nil {
-			a = &acc{}
+			a = &acc{metrics: map[string]float64{}, metricRuns: map[string]int{}}
 			accs[name] = a
 		}
 		a.runs++
 		a.iters += iters
-		a.ns += ns
-		if mm[4] != "" {
-			b, err := strconv.ParseFloat(mm[4], 64)
-			if err != nil {
-				return nil, fmt.Errorf("benchjson: bad B/op in %q: %v", line, err)
+		for _, p := range vals {
+			switch p.unit {
+			case "ns/op":
+				a.ns += p.val
+			case "B/op":
+				a.bytes += p.val
+				a.hasMem = true
+			case "allocs/op":
+				a.alls += p.val
+			default:
+				a.metrics[p.unit] += p.val
+				a.metricRuns[p.unit]++
 			}
-			al, err := strconv.ParseFloat(mm[5], 64)
-			if err != nil {
-				return nil, fmt.Errorf("benchjson: bad allocs/op in %q: %v", line, err)
-			}
-			a.bytes += b
-			a.alls += al
-			a.hasMem = true
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -126,9 +137,39 @@ func Parse(r io.Reader) (*Report, error) {
 			e.BytesPerOp = a.bytes / float64(a.runs)
 			e.AllocsPerOp = a.alls / float64(a.runs)
 		}
+		for unit, sum := range a.metrics {
+			if e.Metrics == nil {
+				e.Metrics = map[string]float64{}
+			}
+			e.Metrics[unit] = sum / float64(a.metricRuns[unit])
+		}
 		rep.Benchmarks[name] = e
 	}
 	return rep, nil
+}
+
+// pair is one "value unit" field of a result line.
+type pair struct {
+	val  float64
+	unit string
+}
+
+// parsePairs splits the fields after the iteration count into value/unit
+// pairs. ok is false when the fields do not open with an ns/op pair, as
+// on a benchmark's log output; a malformed value after that is an error.
+func parsePairs(rest string) (pairs []pair, ok bool, err error) {
+	f := strings.Fields(rest)
+	if len(f) < 2 || f[1] != "ns/op" {
+		return nil, false, nil
+	}
+	for i := 0; i+1 < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return nil, false, fmt.Errorf("bad %s value %q", f[i+1], f[i])
+		}
+		pairs = append(pairs, pair{val: v, unit: f[i+1]})
+	}
+	return pairs, true, nil
 }
 
 // Render emits the report as indented JSON with a trailing newline.

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -71,5 +72,37 @@ func TestParseRejectsNothing(t *testing.T) {
 	}
 	if len(rep.Benchmarks) != 0 {
 		t.Errorf("parsed phantom benchmarks: %v", rep.Benchmarks)
+	}
+}
+
+// Metrics reported with b.ReportMetric sit between ns/op and B/op; the
+// memory columns after them must still be read, and the custom pairs
+// recorded under their units.
+func TestParseReportMetricPairs(t *testing.T) {
+	const in = `BenchmarkFigSuiteSerial-2   	       1	6300000000 ns/op	      4158 bb_nodes/op	     77305 lp_dual_pivots/op	     95150 lp_pivots/op	400000000 B/op	 2400000 allocs/op
+BenchmarkFigSuiteSerial-2   	       1	6500000000 ns/op	      4158 bb_nodes/op	     77305 lp_dual_pivots/op	     95150 lp_pivots/op	420000000 B/op	 2600000 allocs/op
+BenchmarkRatio-2   	      10	       120 ns/op	         0.5 hit_ratio
+`
+	rep, err := Parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := rep.Benchmarks["BenchmarkFigSuiteSerial"]
+	if e.Runs != 2 || e.NsPerOp != 6.4e9 || e.BytesPerOp != 4.1e8 || e.AllocsPerOp != 2.5e6 {
+		t.Errorf("entry = %+v, want 2 runs, 6.4e9 ns/op, 4.1e8 B/op, 2.5e6 allocs/op", e)
+	}
+	want := map[string]float64{"bb_nodes/op": 4158, "lp_dual_pivots/op": 77305, "lp_pivots/op": 95150}
+	if !reflect.DeepEqual(e.Metrics, want) {
+		t.Errorf("metrics = %v, want %v", e.Metrics, want)
+	}
+	r := rep.Benchmarks["BenchmarkRatio"]
+	if r.BytesPerOp != -1 || r.Metrics["hit_ratio"] != 0.5 {
+		t.Errorf("no-benchmem entry with a metric = %+v", r)
+	}
+}
+
+func TestParseRejectsMalformedPair(t *testing.T) {
+	if _, err := Parse(strings.NewReader("BenchmarkX-2 1 100 ns/op abc lp_pivots/op\n")); err == nil {
+		t.Error("malformed metric value parsed without error")
 	}
 }

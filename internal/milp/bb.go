@@ -58,12 +58,14 @@ type SolveOptions struct {
 	// starting incumbent (typically built with Model.Complete from a
 	// heuristic). An infeasible vector is ignored.
 	Incumbent []float64
-	// Ctx, if non-nil, cancels the search cooperatively: it is checked
-	// between LP relaxations (the unit of work), so cancellation latency is
-	// one node's LP solve. A cancelled search stops like a limit stop — the
-	// best incumbent found so far is returned, Result.Cancelled is set, and
-	// Status follows the usual limit semantics (Feasible with an incumbent,
-	// Limit without).
+	// Ctx, if non-nil, cancels the search cooperatively. It is checked
+	// between LP relaxations and, unless LP.Ctx is already set, passed to
+	// the LP engine, which polls it every 64 simplex pivots: cancellation
+	// latency is at most 64 pivots, not a whole node's LP solve. A
+	// relaxation cut short this way is never taken for an infeasible node.
+	// A cancelled search stops like a limit stop — the best incumbent found
+	// so far is returned, Result.Cancelled is set, and Status follows the
+	// usual limit semantics (Feasible with an incumbent, Limit without).
 	Ctx context.Context
 	// Workers is the number of concurrent branch & bound workers. 0 or 1
 	// runs the deterministic serial search (hybrid best-bound with
