@@ -383,8 +383,13 @@ func (s *simplex) init(p *Problem, opt Options) {
 		s.state[aj] = atLower
 	}
 
-	// Nonbasic starting point: nearest finite bound, or 0 for free columns.
-	for j := 0; j < n+m; j++ {
+	s.defaultStates()
+}
+
+// defaultStates puts every structural and slack column at its nonbasic
+// starting point: the lower bound if finite, else the upper, else 0.
+func (s *simplex) defaultStates() {
+	for j := 0; j < s.n+s.m; j++ {
 		switch {
 		case !math.IsInf(s.lo[j], -1):
 			s.state[j] = atLower
@@ -481,6 +486,10 @@ func (s *simplex) installWarm(b *Basis) bool {
 	for i, c := range b.Basic {
 		j := int(c)
 		if j < 0 || j >= n+m || s.state[j] == inBasis {
+			// Restore default states: the crash reassigns only slacks and
+			// artificials, so a column left marked basic would sit outside
+			// its basis, pinned at zero.
+			s.defaultStates()
 			return false
 		}
 		s.basis[i] = j
@@ -489,16 +498,7 @@ func (s *simplex) installWarm(b *Basis) bool {
 	if err := s.refactorize(); err != nil {
 		// Singular snapshot (stale bounds can do this): restore default
 		// nonbasic states so the cold-start crash sees a clean slate.
-		for j := 0; j < n+m; j++ {
-			switch {
-			case !math.IsInf(s.lo[j], -1):
-				s.state[j] = atLower
-			case !math.IsInf(s.hi[j], 1):
-				s.state[j] = atUpper
-			default:
-				s.state[j] = isFree
-			}
-		}
+		s.defaultStates()
 		return false
 	}
 	s.warm = true

@@ -162,3 +162,44 @@ func TestWarmBudgetStallMatchesCold(t *testing.T) {
 		t.Fatalf("only %d budget stalls exercised; expected ≥ 50", stalls)
 	}
 }
+
+// TestWarmStartMalformedBasisMatchesCold: a snapshot that repeats a
+// basic column is refused, and the cold solve that replaces it must agree
+// with a plain cold solve — no column of the refused snapshot may stay
+// marked basic outside the crash basis.
+func TestWarmStartMalformedBasisMatchesCold(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	checked := 0
+	for trial := 0; trial < 200; trial++ {
+		p := relaxationLP(rng)
+		root, err := Solve(p, Options{WantBasis: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if root.Status != Optimal || root.Basis == nil {
+			continue
+		}
+		node := branch(rng, p, root.X, 1+rng.Intn(3))
+		bad := &Basis{Basic: append([]int32(nil), root.Basis.Basic...), NonBasic: root.Basis.NonBasic, ColdIters: root.Basis.ColdIters}
+		last := len(bad.Basic) - 1
+		bad.Basic[0] = bad.Basic[last] // repeated: refused after the others are installed
+		got, err := Solve(node, Options{WarmBasis: bad})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Solve(node, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Warm || got.Status != cold.Status {
+			t.Fatalf("trial %d: malformed snapshot gave warm=%v %v, cold solve %v", trial, got.Warm, got.Status, cold.Status)
+		}
+		if cold.Status == Optimal && !numeric.Eq(got.Obj, cold.Obj) {
+			t.Fatalf("trial %d: malformed snapshot objective %v, cold %v", trial, got.Obj, cold.Obj)
+		}
+		checked++
+	}
+	if checked < 100 {
+		t.Fatalf("only %d malformed snapshots checked", checked)
+	}
+}
