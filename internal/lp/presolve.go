@@ -187,6 +187,20 @@ func (ps *presolver) reduce() Status {
 			break
 		}
 	}
+	// The last round's tightening is followed by no column pass, so its
+	// bounds are checked here: crossing bounds prove infeasibility, and a
+	// crossing within tolerance collapses to a point, as in
+	// applySingleton. The simplex must never see lower > upper.
+	for j := 0; j < ps.p.NumCols; j++ {
+		if ps.fixed[j] || ps.lo[j] <= ps.hi[j] {
+			continue
+		}
+		if ps.lo[j] > ps.hi[j]+1e-9 {
+			return Infeasible
+		}
+		mid := 0.5 * (ps.lo[j] + ps.hi[j])
+		ps.lo[j], ps.hi[j] = mid, mid
+	}
 	return Optimal
 }
 
