@@ -915,7 +915,7 @@ func (s *simplex) dualIterate() (Status, error) {
 		// reach dualPivotRel of the largest nonbasic |α_j| in the row.
 		// Entering on a relatively tiny α leaves a nearly singular basis,
 		// which the next refactorization rejects.
-		pivFloor := 1e-9
+		pivFloor := 0.0
 		for wi, word := range touched {
 			for ; word != 0; word &= word - 1 {
 				j := wi<<6 | bits.TrailingZeros64(word)
