@@ -111,7 +111,7 @@ func (p *Problem) Validate() error {
 		}
 	}
 	// seen[j] holds 1 + the last row that referenced column j, so one
-	// pooled buffer detects repeats in every row without clearing.
+	// pooled buffer, cleared once, detects repeats in every row.
 	seenBuf := seenPool.Get().(*[]int32)
 	defer seenPool.Put(seenBuf)
 	seen := growI32(*seenBuf, p.NumCols)
