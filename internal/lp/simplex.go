@@ -843,11 +843,12 @@ func (s *simplex) perturbCost() {
 // dual simplex pivots: repeatedly expel the most bound-violating basic
 // variable, choosing the entering column by the dual ratio test. It
 // returns Optimal once primal feasible (the caller then runs the primal
-// phase to optimality), Infeasible when a violated row admits no entering
-// column — a sound infeasibility certificate regardless of dual
-// feasibility — and dualStalled when it stops making progress or spends
-// its pivot budget (Basis.ColdIters+8), in which case the caller falls
-// back to a cold start.
+// phase to optimality), Infeasible when the nonbasic columns with
+// |α_j| > 1e-9 cannot repair a violated row even at their extremes — a
+// sound infeasibility certificate regardless of dual feasibility — and
+// dualStalled when it stops making progress, spends its pivot budget
+// (Basis.ColdIters+8) or could repair the row only through pivots below
+// the relative floor, in which case the caller falls back to a cold start.
 func (s *simplex) dualIterate() (Status, error) {
 	m := s.m
 	total := s.n + 2*m
@@ -932,6 +933,10 @@ func (s *simplex) dualIterate() (Status, error) {
 		// α_j = 0 and are never eligible; the bitmap walk visits the rest
 		// in ascending index order, which the tie-breaks rely on.
 		enter := -1
+		// reach is how far the eligible columns skipped only for the
+		// relative floor could move the violated variable, each taken to
+		// its opposite bound.
+		reach := 0.0
 		bestRatio, bestAbs := math.Inf(1), 0.0
 		for wi, word := range touched {
 			for ; word != 0; word &= word - 1 {
@@ -941,7 +946,7 @@ func (s *simplex) dualIterate() (Status, error) {
 					continue
 				}
 				a := alpha[j]
-				if math.Abs(a) <= 1e-9 || math.Abs(a) < pivFloor {
+				if math.Abs(a) <= 1e-9 {
 					continue
 				}
 				// xB[leave] changes by −α_j·δ_j. Raising it (needUp) takes
@@ -960,6 +965,10 @@ func (s *simplex) dualIterate() (Status, error) {
 				if !eligible {
 					continue
 				}
+				if math.Abs(a) < pivFloor {
+					reach += math.Abs(a) * (s.hi[j] - s.lo[j]) // +Inf for free or half-bounded columns
+					continue
+				}
 				ratio := math.Abs(d[j]) / math.Abs(a)
 				if ratio < bestRatio-1e-12 || (ratio < bestRatio+1e-12 && math.Abs(a) > bestAbs) {
 					bestRatio, bestAbs, enter = ratio, math.Abs(a), j
@@ -967,8 +976,14 @@ func (s *simplex) dualIterate() (Status, error) {
 			}
 		}
 		if enter < 0 {
-			// The violated row is already at the extreme the nonbasic
-			// columns allow: primal infeasible.
+			if viol-reach <= s.opt.FeasTol {
+				// Only relatively tiny pivots can repair the row: entering
+				// one risks a near-singular basis, and the row is no
+				// infeasibility certificate, so let a cold start decide.
+				return dualStalled, nil
+			}
+			// Even with every nonbasic column at the extreme that helps,
+			// the violated row stays violated: primal infeasible.
 			return Infeasible, nil
 		}
 

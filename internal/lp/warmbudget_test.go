@@ -203,3 +203,52 @@ func TestWarmStartMalformedBasisMatchesCold(t *testing.T) {
 		t.Fatalf("only %d malformed snapshots checked", checked)
 	}
 }
+
+// TestWarmStartTinyPivotMatchesCold: in a badly scaled row (coefficients
+// spanning 1e8) the only column able to repair the violated basic variable
+// has a pivot far below the row's largest |α_j|. The warm start may skip
+// that pivot, but it must not call the node Infeasible unless the column
+// cannot repair the row even at its far bound: either way it agrees with
+// a cold solve of the same node.
+func TestWarmStartTinyPivotMatchesCold(t *testing.T) {
+	// x0 − 1e3·x1 + 1e-5·x2 = 5 with x0 free of cost: the root puts x0
+	// basic at 5. Capping x0 below 5 can only be met by raising x2
+	// (α = 1e-5, at most 1e-4 of repair over x2 ∈ [0, 10]); raising x1
+	// (α = −1e3) moves x0 the wrong way.
+	p := NewProblem(3)
+	for j := 0; j < 3; j++ {
+		p.SetBounds(j, 0, 10)
+	}
+	p.Cost[1], p.Cost[2] = 1, 1
+	p.AddConstraint([]int{0, 1, 2}, []float64{1, -1e3, 1e-5}, EQ, 5)
+	root, err := Solve(p, Options{WantBasis: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.Status != Optimal || root.Basis == nil || root.Basis.Basic[0] != 0 {
+		t.Fatalf("root: %v with basis %+v, want Optimal with x0 basic", root.Status, root.Basis)
+	}
+	for _, tc := range []struct {
+		cap  float64
+		want Status
+		obj  float64
+	}{
+		{5 - 1e-5, Optimal, 1},    // x2 = 1 repairs the row
+		{5 - 1e-3, Infeasible, 0}, // would need x2 = 100
+	} {
+		node := *p
+		node.Upper = append([]float64(nil), p.Upper...)
+		node.Upper[0] = tc.cap
+		warm := solveWarm(t, &node, root.Basis)
+		cold, err := Solve(&node, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Status != tc.want || (tc.want == Optimal && !numeric.Eq(cold.Obj, tc.obj)) {
+			t.Fatalf("x0 ≤ %v: cold solve %v obj %v, want %v obj %v", tc.cap, cold.Status, cold.Obj, tc.want, tc.obj)
+		}
+		if warm.Status != cold.Status || (cold.Status == Optimal && !numeric.Eq(warm.Obj, cold.Obj)) {
+			t.Fatalf("x0 ≤ %v: warm start %v obj %v, cold solve %v obj %v", tc.cap, warm.Status, warm.Obj, cold.Status, cold.Obj)
+		}
+	}
+}
