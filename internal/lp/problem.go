@@ -205,13 +205,6 @@ type Basis struct {
 	// NonBasic records where each nonbasic column sits (internal varState
 	// values); entries for basic columns are ignored by the consumer.
 	NonBasic []uint8
-	// ColdIters is the pivot count of the cold solve this snapshot
-	// descends from: a snapshot of a cold solve records its own pivots,
-	// one of a warm solve inherits its seed's count. A warm start from
-	// the snapshot spends at most ColdIters+8 dual pivots (and never more
-	// than rows+100) before it falls back to a cold start, so it never
-	// costs much more than the cold solve it replaces.
-	ColdIters int
 }
 
 // Options tunes the solver.
@@ -233,8 +226,9 @@ type Options struct {
 	// WarmBasis, if non-nil, seeds the solve from a previous
 	// Solution.Basis of a same-shaped problem. Primal feasibility under
 	// the possibly-changed bounds is restored by dual simplex pivots; a
-	// stale, singular or stalled basis falls back to a cold start, so the
-	// option is always safe. The snapshot is read-only and may be shared
+	// stale, singular or stalled basis, or one that needs more than
+	// rows+100 dual pivots, falls back to a cold start, so the option is
+	// always safe. The snapshot is read-only and may be shared
 	// across concurrent solves.
 	WarmBasis *Basis
 	// WantBasis asks Solve to attach Solution.Basis to optimal solutions
@@ -246,6 +240,10 @@ type Options struct {
 	// variables. Ignored when WarmBasis is set: the reduction would
 	// invalidate the basis' index space.
 	Presolve bool
+
+	// dualBudget, if positive, lowers a warm start's dual pivot budget
+	// (rows+100) so package tests can force the cold fallback.
+	dualBudget int
 }
 
 func (o Options) withDefaults(m int) Options {

@@ -72,7 +72,6 @@ type simplex struct {
 	dualIters   int
 	refactors   int  // mid-solve refactorizations (periodic + stability)
 	warm        bool // the current solve runs from Options.WarmBasis
-	coldIters   int  // Basis.ColdIters of the warm seed
 	sincePivot  int  // pivots since last refactorization
 	degenStreak int  // consecutive (near-)degenerate pivots, drives Bland switch
 }
@@ -280,7 +279,7 @@ func (s *simplex) init(p *Problem, opt Options) {
 	s.n, s.m = n, m
 	s.iters, s.dualIters, s.refactors = 0, 0, 0
 	s.sincePivot, s.degenStreak = 0, 0
-	s.warm, s.coldIters = false, 0
+	s.warm = false
 
 	total := n + 2*m
 	nnz := 2 * m
@@ -502,7 +501,6 @@ func (s *simplex) installWarm(b *Basis) bool {
 		return false
 	}
 	s.warm = true
-	s.coldIters = b.ColdIters
 	return true
 }
 
@@ -529,15 +527,10 @@ func (s *simplex) releaseBasic() {
 // Basic artificials (degenerate at zero) are swapped for their row's slack
 // column — same sparsity pattern up to sign, so nonsingularity is
 // preserved; if the slack is itself basic elsewhere the snapshot is
-// unusable and nil is returned. ColdIters is this solve's own pivot count
-// when it ran cold (dual pivots of an abandoned warm start excluded) and
-// the seed's when it ran warm.
+// unusable and nil is returned.
 func (s *simplex) snapshotBasis() *Basis {
 	n, m := s.n, s.m
-	b := &Basis{Basic: make([]int32, m), NonBasic: make([]uint8, n+m), ColdIters: s.coldIters}
-	if !s.warm {
-		b.ColdIters = s.iters - s.dualIters
-	}
+	b := &Basis{Basic: make([]int32, m), NonBasic: make([]uint8, n+m)}
 	for j := 0; j < n+m; j++ {
 		b.NonBasic[j] = uint8(s.state[j])
 	}
@@ -847,15 +840,15 @@ func (s *simplex) perturbCost() {
 // |α_j| > 1e-9 cannot repair a violated row even at their extremes — a
 // sound infeasibility certificate regardless of dual feasibility — and
 // dualStalled when it stops making progress, spends its pivot budget
-// (Basis.ColdIters+8) or could repair the row only through pivots below
-// the relative floor, in which case the caller falls back to a cold start.
+// (rows+100) or could repair the row only through pivots below the
+// relative floor, in which case the caller falls back to a cold start.
 func (s *simplex) dualIterate() (Status, error) {
 	m := s.m
 	total := s.n + 2*m
-	// The budget is the cold solve's measured cost: a warm start that
-	// needs more dual pivots than the cold solve it replaces took is
-	// better abandoned for that cold solve.
-	budget := min(m+100, s.coldIters+8, s.opt.MaxIters)
+	budget := min(m+100, s.opt.MaxIters)
+	if s.opt.dualBudget > 0 {
+		budget = min(budget, s.opt.dualBudget)
+	}
 	// Reduced costs are maintained across dual pivots (d_j ← d_j − θ_d·α_j
 	// after each basis change) instead of being recomputed from a BTRAN of
 	// the basic costs every iteration; they are refreshed from scratch
