@@ -1,7 +1,9 @@
 package nocdeploy_test
 
 import (
+	"fmt"
 	"io"
+	"sync"
 	"testing"
 	"time"
 
@@ -76,25 +78,40 @@ func figSuiteOnce(b *testing.B, cfg exp.Config) {
 // record; compare against BenchmarkFigSuiteParallel. It is also the
 // nil-tracer baseline for BenchmarkFigSuiteSerialTraced: the delta
 // between the two is the full cost of observability, and must stay
-// within noise when tracing is off. After the timed loop it runs one more,
-// untimed suite under a metrics trace and reports the suite's
+// within noise when tracing is off. It also reports the suite's
 // deterministic work — LP pivots, dual pivots of warm starts and branch &
 // bound nodes — per op, so a wall-clock change can be told apart from a
 // change in the work done.
 func BenchmarkFigSuiteSerial(b *testing.B) {
 	benchFigSuite(b, 1, nil)
 	b.StopTimer()
-	m := obs.NewMetrics()
-	tr := obs.New(obs.NewMetricsSink(m))
-	figSuiteOnce(b, exp.Config{Seed: 1, Quick: true, TimeLimit: time.Minute, MaxNodes: 50, Parallel: 1, Trace: tr})
-	if err := tr.Close(); err != nil {
+	c, err := figSuiteWork()
+	if err != nil {
 		b.Fatal(err)
 	}
-	c := m.Snapshot().Counters
 	b.ReportMetric(float64(c["lp.iters"]), "lp_pivots/op")
 	b.ReportMetric(float64(c["lp.warmstart_dual_iters"]), "lp_dual_pivots/op")
 	b.ReportMetric(float64(c["bb.nodes"]), "bb_nodes/op")
 }
+
+// figSuiteWork counts the serial suite's work once per test binary, under
+// a metrics trace outside any timed loop: the counts are deterministic, so
+// repeated benchmark runs (-count) reuse them instead of re-running the
+// suite.
+var figSuiteWork = sync.OnceValues(func() (map[string]int64, error) {
+	m := obs.NewMetrics()
+	tr := obs.New(obs.NewMetricsSink(m))
+	cfg := exp.Config{Seed: 1, Quick: true, TimeLimit: time.Minute, MaxNodes: 50, Parallel: 1, Trace: tr}
+	for _, r := range exp.Runners() {
+		if _, err := r.Run(cfg); err != nil {
+			return nil, fmt.Errorf("figure %s: %w", r.Name, err)
+		}
+	}
+	if err := tr.Close(); err != nil {
+		return nil, err
+	}
+	return m.Snapshot().Counters, nil
+})
 
 // BenchmarkFigSuiteParallel fans instances out over all cores
 // (Parallel=0); its tables are byte-identical to the serial run's.
